@@ -217,6 +217,16 @@ PYEOF
   done
 }
 
+# Smoke pass of the end-to-end benchmark (bench_e2e/README.md): builds its
+# own Release tree under .bench_build/, then mines every workload at a
+# small scale through MiningSession (serial, CD, DD, IDD, HD) and through
+# pam_serve over loopback, checking every result against the independent
+# Eclat oracle. run.py exits non-zero on any oracle mismatch.
+run_bench_e2e_smoke() {
+  echo "=== bench_e2e smoke (oracle-checked) ==="
+  python3 bench_e2e/run.py --smoke
+}
+
 case "${1:-all}" in
   release)
     run_preset release
@@ -225,6 +235,7 @@ case "${1:-all}" in
     run_bench_balance_smoke
     run_traced_smoke
     run_serve_net_smoke
+    run_bench_e2e_smoke
     ;;
   sanitize)
     run_preset sanitize
@@ -240,6 +251,7 @@ case "${1:-all}" in
     run_bench_balance_smoke
     run_traced_smoke
     run_serve_net_smoke
+    run_bench_e2e_smoke
     run_preset sanitize
     run_chaos_sanitized
     run_tsan

@@ -1,9 +1,7 @@
 #include <numeric>
 
-#include "pam/core/apriori_gen.h"
 #include "pam/obs/trace.h"
-#include "pam/parallel/algorithms.h"
-#include "pam/util/timer.h"
+#include "pam/parallel/pass_engine.h"
 
 namespace pam {
 
@@ -15,67 +13,26 @@ namespace pam {
 // charges with extra I/O.
 RankOutput RunCdRank(const TransactionDatabase& db, Comm& comm,
                      const ParallelConfig& config) {
-  using parallel_internal::ParallelPass1;
+  using parallel_internal::PassContext;
 
-  RankOutput out;
   const TransactionDatabase::Slice slice =
       db.RankSlice(comm.rank(), comm.size());
-  const Count minsup = config.apriori.ResolveMinsup(db.size());
-  std::vector<Count> dhp_buckets;  // PDM-style DHP filter state (optional)
   const std::size_t cap = config.apriori.max_candidates_in_memory;
-  CountingPool pool(config.apriori.threads_per_rank);
 
-  {
-    obs::ScopedSpan pass_span(obs::SpanKind::kPass, /*pass_k=*/1, -1,
-                              nullptr);
-    WallTimer timer;
-    PassMetrics m;
-    m.grid_cols = comm.size();
-    const CommFaultStats faults_at_start = comm.MyFaultStats();
-    ItemsetCollection f1 = ParallelPass1(db, slice, comm, minsup, &m,
-                                         &config, &dhp_buckets);
-    parallel_internal::RecordFaultDelta(comm, faults_at_start, &m);
-    m.wall_seconds = timer.Seconds();
-    obs::EmitPassMetrics(m);
-    out.passes.push_back(m);
-    out.frequent.levels.push_back(std::move(f1));
-  }
-
-  for (int k = 2; config.apriori.max_k == 0 || k <= config.apriori.max_k;
-       ++k) {
-    const ItemsetCollection& prev = out.frequent.levels.back();
-    if (prev.size() < 2) break;
-    config.apriori.cancel.Checkpoint(comm.rank());
-    obs::ScopedSpan pass_span(obs::SpanKind::kPass, k, -1, nullptr);
-    WallTimer timer;
-    PassMetrics m;
-    m.k = k;
-    m.local_db_wire_bytes = db.WireBytes(slice);
-    m.grid_cols = comm.size();
-    const CommFaultStats faults_at_start = comm.MyFaultStats();
-
-    ItemsetCollection candidates =
-        parallel_internal::GenerateCandidates(prev, k, dhp_buckets, minsup);
+  auto count_pass = [&](PassContext& pass) {
+    PassMetrics& m = pass.metrics;
+    ItemsetCollection& candidates = pass.candidates;
     const std::size_t num_candidates = candidates.size();
-    if (num_candidates == 0) {
-      pass_span.Cancel();  // no PassMetrics row, so no pass span either
-      break;
-    }
-    m.num_candidates_global = num_candidates;
+    m.grid_cols = comm.size();
     m.num_candidates_local = num_candidates;
     m.transactions_processed = slice.size();
-    m.threads_per_rank = pool.num_threads();
 
     std::vector<Count> counts(num_candidates, 0);
-    if (parallel_internal::TryTrianglePass2(db, slice, prev, candidates, k,
-                                            config.apriori, &pool,
-                                            std::span<Count>(counts),
-                                            &m.subset, &m)) {
-      // Triangular pass-2 kernel: one scan, one full-width reduction.
-      m.db_scans = 1;
-      comm.AllReduceSum(std::span<std::uint64_t>(counts));
-      m.reduction_words += num_candidates;
-    } else {
+    // The pass-2 triangle (one scan, one full-width reduction), else the
+    // hash tree, chunked under the candidate-memory cap.
+    if (!parallel_internal::TryTrianglePass2(pass, db, slice, comm,
+                                             config.apriori,
+                                             std::span<Count>(counts))) {
       const std::size_t chunk_cap = cap == 0 ? num_candidates : cap;
       const std::size_t num_chunks =
           (num_candidates + chunk_cap - 1) / chunk_cap;
@@ -93,8 +50,9 @@ RankOutput RunCdRank(const TransactionDatabase& db, Comm& comm,
         build_span.End();
         obs::ScopedSpan count_span(obs::SpanKind::kSubsetCount,
                                    static_cast<std::int64_t>(chunk));
-        TeamCounter team(&pool, &tree, std::span<Count>(counts), &m.subset,
-                         /*root_filter=*/nullptr, &config.apriori.cancel);
+        TeamCounter team(&pass.pool, &tree, std::span<Count>(counts),
+                         &m.subset, /*root_filter=*/nullptr,
+                         &config.apriori.cancel);
         team.CountSlice(db, slice);
         team.Finish();
         AccumulateShardWork(m.shard_subset_work, team.shard_work());
@@ -108,20 +66,12 @@ RankOutput RunCdRank(const TransactionDatabase& db, Comm& comm,
     }
 
     candidates.counts() = std::move(counts);
-    candidates.PruneBelow(minsup);
-    m.num_frequent_global = candidates.size();
-    parallel_internal::RecordFaultDelta(comm, faults_at_start, &m);
-    m.wall_seconds = timer.Seconds();
-    obs::EmitPassMetrics(m);
-    out.passes.push_back(m);
-    if (candidates.empty()) break;
-    out.frequent.levels.push_back(std::move(candidates));
-  }
-
-  while (!out.frequent.levels.empty() && out.frequent.levels.back().empty()) {
-    out.frequent.levels.pop_back();
-  }
-  return out;
+    candidates.PruneBelow(pass.minsup);
+    return std::move(candidates);
+  };
+  // CD's pass 1 is itself a count-distribution pass: a 1 x P grid.
+  return parallel_internal::RunPasses(db, comm, config, slice, count_pass,
+                                      /*pass1_grid_cols=*/comm.size());
 }
 
 }  // namespace pam

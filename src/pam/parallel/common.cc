@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "pam/core/apriori_gen.h"
-#include "pam/hashtree/pair_counter.h"
 #include "pam/obs/trace.h"
 
 namespace pam {
@@ -33,46 +32,6 @@ ItemsetCollection ParallelPass1(const TransactionDatabase& db,
   ItemsetCollection f1 = MakeF1(counts, minsup);
   if (metrics != nullptr) metrics->num_frequent_global = f1.size();
   return f1;
-}
-
-ItemsetCollection GenerateCandidates(const ItemsetCollection& prev, int k,
-                                     const std::vector<Count>& dhp_buckets,
-                                     Count minsup) {
-  ItemsetCollection candidates = AprioriGen(prev);
-  if (k == 2 && !dhp_buckets.empty()) {
-    candidates = FilterByBuckets(candidates, dhp_buckets, minsup);
-  }
-  return candidates;
-}
-
-bool TriangleEligible(int k, const AprioriConfig& config,
-                      std::size_t f1_size) {
-  return k == 2 && config.use_pass2_triangle &&
-         TrianglePairCounter::Fits(f1_size,
-                                   config.max_candidates_in_memory);
-}
-
-bool TryTrianglePass2(const TransactionDatabase& db,
-                      TransactionDatabase::Slice slice,
-                      const ItemsetCollection& f1,
-                      const ItemsetCollection& candidates, int k,
-                      const AprioriConfig& config, CountingPool* pool,
-                      std::span<Count> counts, SubsetStats* stats,
-                      PassMetrics* metrics) {
-  if (!TriangleEligible(k, config, f1.size())) return false;
-  TrianglePairCounter tri(f1);
-  {
-    obs::ScopedSpan count_span(obs::SpanKind::kSubsetCount, /*index=*/0,
-                               "triangle");
-    TriangleTeam team(pool, &tri, stats, &config.cancel);
-    team.CountSlice(db, slice);
-    team.Finish();
-    if (metrics != nullptr) {
-      AccumulateShardWork(metrics->shard_subset_work, team.shard_work());
-    }
-  }
-  tri.Extract(candidates, counts);
-  return true;
 }
 
 ItemsetCollection ExchangeFrequent(Comm& comm, const ItemsetCollection& sets,
@@ -167,51 +126,20 @@ std::uint64_t RingShiftAll(Comm& comm, const std::vector<Page>& local_pages,
   return bytes_sent;
 }
 
+int SmallestDivisorAtLeast(int num_ranks, int at_least) {
+  for (int g = std::max(at_least, 1); g <= num_ranks; ++g) {
+    if (num_ranks % g == 0) return g;
+  }
+  return num_ranks;
+}
+
 int ChooseGridRows(std::size_t num_candidates, std::size_t threshold_m,
                    int num_ranks) {
   if (threshold_m == 0 || num_candidates < threshold_m) return 1;
   const std::size_t want =
       (num_candidates + threshold_m - 1) / threshold_m;  // ceil(M / m)
   if (want >= static_cast<std::size_t>(num_ranks)) return num_ranks;
-  // Smallest divisor of P that is >= want.
-  for (int g = static_cast<int>(want); g <= num_ranks; ++g) {
-    if (num_ranks % g == 0) return g;
-  }
-  return num_ranks;
-}
-
-BalanceSync ShareBalanceFeedback(
-    Comm& comm, const PassMetrics& m,
-    std::span<const std::uint64_t> local_item_work) {
-  const int p = comm.size();
-  const std::uint64_t my_work =
-      m.subset.traversal_steps + m.subset.leaf_candidates_checked;
-  std::vector<std::uint64_t> buf(
-      static_cast<std::size_t>(p) + 3 + local_item_work.size(), 0);
-  buf[static_cast<std::size_t>(comm.rank())] = my_work;
-  buf[static_cast<std::size_t>(p)] = m.transactions_processed;
-  buf[static_cast<std::size_t>(p) + 1] = m.subset.traversal_steps;
-  buf[static_cast<std::size_t>(p) + 2] = m.subset.leaf_candidates_checked;
-  std::copy(local_item_work.begin(), local_item_work.end(),
-            buf.begin() + p + 3);
-  comm.AllReduceSum(std::span<std::uint64_t>(buf));
-  BalanceSync out;
-  out.rank_work.assign(buf.begin(), buf.begin() + p);
-  out.item_work.assign(buf.begin() + p + 3, buf.end());
-  out.transactions = buf[static_cast<std::size_t>(p)];
-  out.traversal_steps = buf[static_cast<std::size_t>(p) + 1];
-  out.leaf_checks = buf[static_cast<std::size_t>(p) + 2];
-  out.words = buf.size();
-  return out;
-}
-
-void RecordFaultDelta(const Comm& comm, const CommFaultStats& start,
-                      PassMetrics* metrics) {
-  if (metrics == nullptr) return;
-  const CommFaultStats now = comm.MyFaultStats();
-  metrics->comm_faults_injected += now.injected - start.injected;
-  metrics->comm_retries += now.retries - start.retries;
-  metrics->comm_faults_detected += now.detected - start.detected;
+  return SmallestDivisorAtLeast(num_ranks, static_cast<int>(want));
 }
 
 }  // namespace parallel_internal

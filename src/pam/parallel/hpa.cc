@@ -1,9 +1,5 @@
-#include <cstring>
-
-#include "pam/core/apriori_gen.h"
 #include "pam/obs/trace.h"
-#include "pam/parallel/algorithms.h"
-#include "pam/util/timer.h"
+#include "pam/parallel/pass_engine.h"
 
 namespace pam {
 namespace {
@@ -144,54 +140,16 @@ class SubsetRouter {
 // than |t|.
 RankOutput RunHpaRank(const TransactionDatabase& db, Comm& comm,
                       const ParallelConfig& config) {
-  using parallel_internal::ExchangeFrequent;
-  using parallel_internal::FrequentSubset;
-  using parallel_internal::ParallelPass1;
+  using parallel_internal::PassContext;
 
-  RankOutput out;
   const int p = comm.size();
   const int rank = comm.rank();
   const TransactionDatabase::Slice slice = db.RankSlice(rank, p);
-  const Count minsup = config.apriori.ResolveMinsup(db.size());
-  std::vector<Count> dhp_buckets;  // PDM-style DHP filter state (optional)
-  CountingPool pool(config.apriori.threads_per_rank);
 
-  {
-    obs::ScopedSpan pass_span(obs::SpanKind::kPass, /*pass_k=*/1, -1,
-                              nullptr);
-    WallTimer timer;
-    PassMetrics m;
-    const CommFaultStats faults_at_start = comm.MyFaultStats();
-    ItemsetCollection f1 = ParallelPass1(db, slice, comm, minsup, &m,
-                                         &config, &dhp_buckets);
-    parallel_internal::RecordFaultDelta(comm, faults_at_start, &m);
-    m.wall_seconds = timer.Seconds();
-    obs::EmitPassMetrics(m);
-    out.passes.push_back(m);
-    out.frequent.levels.push_back(std::move(f1));
-  }
-
-  for (int k = 2; config.apriori.max_k == 0 || k <= config.apriori.max_k;
-       ++k) {
-    const ItemsetCollection& prev = out.frequent.levels.back();
-    if (prev.size() < 2) break;
-    config.apriori.cancel.Checkpoint(rank);
-    obs::ScopedSpan pass_span(obs::SpanKind::kPass, k, -1, nullptr);
-    WallTimer timer;
-    PassMetrics m;
-    m.k = k;
-    m.local_db_wire_bytes = db.WireBytes(slice);
+  auto count_pass = [&](PassContext& pass) {
+    PassMetrics& m = pass.metrics;
+    ItemsetCollection& candidates = pass.candidates;
     m.grid_rows = p;
-    const CommFaultStats faults_at_start = comm.MyFaultStats();
-
-    ItemsetCollection candidates =
-        parallel_internal::GenerateCandidates(prev, k, dhp_buckets, minsup);
-    if (candidates.empty()) {
-      pass_span.Cancel();  // no PassMetrics row, so no pass span either
-      break;
-    }
-    m.num_candidates_global = candidates.size();
-
     // Hash ownership; the collection stays sorted so owners can probe
     // incoming subsets with one binary search.
     std::vector<std::uint32_t> my_ids;
@@ -203,23 +161,19 @@ RankOutput RunHpaRank(const TransactionDatabase& db, Comm& comm,
       }
     }
     m.num_candidates_local = my_ids.size();
-    m.threads_per_rank = pool.num_threads();
 
     std::vector<Count> counts(candidates.size(), 0);
-    if (parallel_internal::TryTrianglePass2(db, slice, prev, candidates, k,
-                                            config.apriori, &pool,
-                                            std::span<Count>(counts),
-                                            &m.subset, &m)) {
+    if (parallel_internal::TryTrianglePass2(pass, db, slice, comm,
+                                            config.apriori,
+                                            std::span<Count>(counts))) {
       // Pass-2 triangle: count the full pair set over the local slice and
       // reduce CD-style — no subsets move on the wire at k == 2. Hash
       // ownership (my_ids) still partitions the frequent-set exchange.
       m.transactions_processed = slice.size();
-      comm.AllReduceSum(std::span<std::uint64_t>(counts));
-      m.reduction_words += counts.size();
     } else {
       m.tree_build_inserts = my_ids.size();
       SubsetRouter router(
-          comm, k, config.page_bytes / sizeof(Item),
+          comm, pass.k, config.page_bytes / sizeof(Item),
           [&](ItemSpan subset) {
             ++m.subset.leaf_candidates_checked;
             const std::size_t idx = candidates.Find(subset);
@@ -246,23 +200,12 @@ RankOutput RunHpaRank(const TransactionDatabase& db, Comm& comm,
     }
 
     candidates.counts() = std::move(counts);
-    ItemsetCollection local_frequent =
-        FrequentSubset(candidates, my_ids, minsup);
-    ItemsetCollection frequent =
-        ExchangeFrequent(comm, local_frequent, &m.broadcast_words);
-    m.num_frequent_global = frequent.size();
-    parallel_internal::RecordFaultDelta(comm, faults_at_start, &m);
-    m.wall_seconds = timer.Seconds();
-    obs::EmitPassMetrics(m);
-    out.passes.push_back(m);
-    if (frequent.empty()) break;
-    out.frequent.levels.push_back(std::move(frequent));
-  }
-
-  while (!out.frequent.levels.empty() && out.frequent.levels.back().empty()) {
-    out.frequent.levels.pop_back();
-  }
-  return out;
+    return parallel_internal::ExchangeFrequent(
+        comm,
+        parallel_internal::FrequentSubset(candidates, my_ids, pass.minsup),
+        &m.broadcast_words);
+  };
+  return parallel_internal::RunPasses(db, comm, config, slice, count_pass);
 }
 
 }  // namespace pam

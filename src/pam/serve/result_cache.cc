@@ -61,7 +61,13 @@ void ResultCache::Put(const std::string& dataset, std::uint64_t digest,
   const auto now = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(Key(dataset, digest));
-  if (it != entries_.end()) EvictLocked(it, "replaced");
+  if (it != entries_.end()) {
+    // A concurrent identical run already cached this key; both reports
+    // come from the same canonical problem, so keep the resident one and
+    // count this Put as a use, not an eviction.
+    it->second.last_use = now;
+    return;
+  }
   if (!MakeRoomLocked(result->bytes)) return;  // over budget: not cached
   Entry entry;
   entry.last_use = now;

@@ -54,8 +54,9 @@ class ResultCache {
   /// The cached report for (dataset, digest), or nullptr on a miss.
   ResultHandle Get(const std::string& dataset, std::uint64_t digest);
 
-  /// Caches `report` under (dataset, digest). Overwrites any existing
-  /// entry (idempotent for concurrent identical runs). A report that
+  /// Caches `report` under (dataset, digest). When the key is already
+  /// resident (concurrent identical runs), the resident entry is kept and
+  /// its last use refreshed; nothing is evicted. A report that
   /// cannot fit the budget even after evicting every unpinned entry is
   /// dropped silently — the response it came from is unaffected.
   void Put(const std::string& dataset, std::uint64_t digest,

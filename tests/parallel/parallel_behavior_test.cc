@@ -1,5 +1,9 @@
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "pam/api/session.h"
 #include "pam/datagen/quest_gen.h"
 #include "pam/parallel/driver.h"
 
@@ -254,6 +258,107 @@ TEST(ParallelBehaviorTest, DdCommVolumeMatchesDd) {
     EXPECT_EQ(dd.metrics.TotalDataBytes(static_cast<int>(pass)),
               ddc.metrics.TotalDataBytes(static_cast<int>(pass)))
         << "pass " << pass;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Edge cases of the pass loop every formulation shares (RunPasses), checked
+// for all six formulations. Pass spans are counted per rank from the
+// session timeline, so a rank that ran a pass the others did not would
+// show even though RunMetrics keeps rank 0's pass structure.
+
+constexpr Algorithm kAllAlgorithms[] = {
+    Algorithm::kCD,  Algorithm::kDD, Algorithm::kDDComm,
+    Algorithm::kIDD, Algorithm::kHD, Algorithm::kHPA};
+
+MiningReport TimelineRun(Algorithm algorithm, const TransactionDatabase& db,
+                         int num_ranks, const ParallelConfig& config) {
+  MiningRequest request;
+  request.algorithm = FromParallelAlgorithm(algorithm);
+  request.num_ranks = num_ranks;
+  request.config = config;
+  request.collect_timeline = true;
+  MiningSession session;
+  return session.Run(request, db);
+}
+
+// The pass numbers of every rank's pass spans, ascending.
+std::vector<std::vector<int>> PassSpansPerRank(const MiningReport& report,
+                                               int num_ranks) {
+  std::vector<std::vector<int>> passes(static_cast<std::size_t>(num_ranks));
+  for (const obs::SpanRecord& s : report.timeline.spans) {
+    if (s.kind == obs::SpanKind::kPass && !s.instant) {
+      passes[static_cast<std::size_t>(s.rank)].push_back(s.pass_k);
+    }
+  }
+  for (std::vector<int>& ks : passes) std::sort(ks.begin(), ks.end());
+  return passes;
+}
+
+void ExpectPassRows(const MiningReport& report, int num_ranks,
+                    const std::vector<int>& ks) {
+  ASSERT_EQ(report.metrics.per_pass.size(), ks.size());
+  for (std::size_t i = 0; i < ks.size(); ++i) {
+    ASSERT_EQ(report.metrics.per_pass[i].size(),
+              static_cast<std::size_t>(num_ranks));
+    for (const PassMetrics& m : report.metrics.per_pass[i]) {
+      EXPECT_EQ(m.k, ks[i]);
+    }
+  }
+  for (const std::vector<int>& rank_ks : PassSpansPerRank(report, num_ranks)) {
+    EXPECT_EQ(rank_ks, ks);
+  }
+}
+
+TEST(PassLoopEdgeTest, MaxKTwoStopsAfterPassTwoOnEveryRank) {
+  const TransactionDatabase db = TestDb();
+  ParallelConfig config = BaseConfig();
+  config.apriori.max_k = 2;
+  const int p = 3;
+  for (Algorithm algorithm : kAllAlgorithms) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    const MiningReport report = TimelineRun(algorithm, db, p, config);
+    ExpectPassRows(report, p, {1, 2});
+    EXPECT_EQ(report.frequent.levels.size(), 2u);
+    // Without the cap the same data runs a third pass.
+    EXPECT_GT(MineParallel(algorithm, db, p, BaseConfig())
+                  .metrics.num_passes(),
+              2);
+  }
+}
+
+TEST(PassLoopEdgeTest, EmptyF1ReturnsNoLevelsAndOnePassRow) {
+  const TransactionDatabase db = TestDb();
+  ParallelConfig config = BaseConfig();
+  config.apriori.minsup_count = static_cast<Count>(db.size()) + 1;
+  const int p = 4;
+  for (Algorithm algorithm : kAllAlgorithms) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    const MiningReport report = TimelineRun(algorithm, db, p, config);
+    EXPECT_TRUE(report.frequent.levels.empty());
+    ExpectPassRows(report, p, {1});
+    EXPECT_EQ(report.metrics.per_pass[0][0].num_frequent_global, 0u);
+  }
+}
+
+TEST(PassLoopEdgeTest, EmptyC3EmitsNoPassThreeSpanOrRow) {
+  // F_2 = {{0,1}, {2,3}}: two frequent pairs with no common prefix, so
+  // apriori_gen yields no 3-candidates although |F_2| >= 2.
+  TransactionDatabase db;
+  for (int i = 0; i < 10; ++i) {
+    db.Add({0, 1});
+    db.Add({2, 3});
+  }
+  db.Add({0, 2, 4});
+  ParallelConfig config = BaseConfig();
+  config.apriori.minsup_count = 5;
+  const int p = 4;
+  for (Algorithm algorithm : kAllAlgorithms) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    const MiningReport report = TimelineRun(algorithm, db, p, config);
+    ASSERT_EQ(report.frequent.levels.size(), 2u);
+    EXPECT_EQ(report.frequent.levels[1].size(), 2u);
+    ExpectPassRows(report, p, {1, 2});
   }
 }
 

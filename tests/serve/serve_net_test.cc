@@ -37,6 +37,7 @@
 
 #include "pam/serve/net_server.h"
 #include "pam/serve/protocol.h"
+#include "pam/serve/result_cache.h"
 #include "pam/serve/server.h"
 #include "testing/test_support.h"
 
@@ -970,6 +971,28 @@ TEST(ResultCacheTest, DifferentMinsupMisses) {
   server.Shutdown();
   EXPECT_EQ(server.Stats().result_hits, 0u);
   EXPECT_EQ(server.Stats().result_misses, 2u);
+}
+
+TEST(ResultCacheTest, DuplicatePutKeepsResidentEntryWithoutEviction) {
+  // Two workers that missed on the same problem both Put its report (the
+  // server does not coalesce in-flight misses). The second Put must keep
+  // the resident entry: no eviction, no change in resident bytes.
+  const TransactionDatabase db = testing::TinyQuestDb();
+  ParallelConfig config;
+  config.apriori.minsup_fraction = 0.03;
+  const MiningReport report =
+      testing::SessionMine(Algorithm::kCD, db, 2, config);
+  serve::ResultCache cache;
+  cache.Put("quest", 42, report);
+  const std::size_t resident = cache.ResidentBytes();
+  ASSERT_GT(resident, 0u);
+  cache.Put("quest", 42, report);
+  EXPECT_EQ(cache.Evictions(), 0u);
+  EXPECT_EQ(cache.ResidentBytes(), resident);
+  const serve::ResultHandle hit = cache.Get("quest", 42);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(testing::Flatten(hit->report.frequent),
+            testing::Flatten(report.frequent));
 }
 
 TEST(ResultCacheTest, NetResponsesByteIdenticalAcrossHit) {
