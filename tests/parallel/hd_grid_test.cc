@@ -6,6 +6,17 @@ namespace pam {
 namespace {
 
 using parallel_internal::ChooseGridRows;
+using parallel_internal::SmallestDivisorAtLeast;
+
+// The divisor search behind both the Table-II choice and hd_forced_rows.
+TEST(HdGridTest, SmallestDivisorAtLeast) {
+  EXPECT_EQ(SmallestDivisorAtLeast(64, 3), 4);
+  EXPECT_EQ(SmallestDivisorAtLeast(12, 5), 6);
+  EXPECT_EQ(SmallestDivisorAtLeast(12, 6), 6);
+  EXPECT_EQ(SmallestDivisorAtLeast(7, 2), 7);  // prime: only P itself
+  EXPECT_EQ(SmallestDivisorAtLeast(8, 1), 1);
+  EXPECT_EQ(SmallestDivisorAtLeast(8, 9), 8);  // above P: capped at P
+}
 
 TEST(HdGridTest, BelowThresholdRunsCd) {
   EXPECT_EQ(ChooseGridRows(34000, 50000, 64), 1);
